@@ -25,7 +25,7 @@ from repro.dft import (
 
 from conftest import paper_row
 
-ENGINES = ("scalar", "words", "compiled")
+ENGINES = ("scalar", "compiled")
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,7 @@ def test_e04_engines_bit_identical(scanned_block):
             max_patterns=512, batch_size=64, engine=engine))
         for engine in ENGINES
     }
-    assert digests["compiled"] == digests["words"] == digests["scalar"]
+    assert digests["compiled"] == digests["scalar"]
     for workers in (2, 3):
         parallel = _digest(random_pattern_fault_sim(
             view, faults, rng=np.random.default_rng(7),
@@ -121,15 +121,15 @@ def test_e04_s5_at_scale_compiled(benchmark):
               f"{elapsed:.2f}s / {result.patterns_applied} patterns")
     assert result.coverage >= 0.93
 
-    # Worker and engine invariance at scale: fault-universe partitions
-    # replay the identical pattern stream, so any worker count (and the
-    # reference words kernel) reproduces the result bit for bit.
-    for kwargs in (dict(engine="compiled", workers=2),
-                   dict(engine="compiled", workers=5),
-                   dict(engine="words", workers=1)):
+    # Worker invariance at scale: fault-universe partitions replay the
+    # identical pattern stream, so any worker count reproduces the
+    # result bit for bit (engine invariance against the scalar oracle
+    # is checked on the E4 netlist above).
+    for workers in (2, 5):
         replay = random_pattern_fault_sim(
             view, faults, rng=np.random.default_rng(7),
-            max_patterns=4096, batch_size=4096, **kwargs)
+            max_patterns=4096, batch_size=4096, engine="compiled",
+            workers=workers)
         assert _digest(replay) == _digest(result)
 
 

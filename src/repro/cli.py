@@ -86,8 +86,8 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
           f"{len(scan_report.chains)} chains")
     result = run_atpg(scanned, seed=args.seed,
                       max_random_patterns=args.patterns,
-                      batch_size=args.batch_size, kernel=args.kernel,
-                      engine=args.engine, workers=args.workers)
+                      batch_size=args.batch_size, engine=args.engine,
+                      workers=args.workers)
     print(result.format_report())
     return 0
 
@@ -436,16 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fault-sim patterns per batch (wider is "
                            "faster; selects a different but equally "
                            "random pattern stream)")
-    atpg.add_argument("--kernel", choices=("words", "bigint"),
-                      default="words",
-                      help="legacy fault-sim kernel name (superseded "
-                           "by --engine)")
-    atpg.add_argument("--engine",
-                      choices=("compiled", "words", "scalar"),
-                      default=None,
-                      help="fault-sim engine; all engines are "
-                           "bit-identical, 'compiled' is the fused "
-                           "flat-program backend")
+    atpg.add_argument("--engine", choices=("compiled", "scalar"),
+                      default="compiled",
+                      help="fault-sim engine; both are bit-identical, "
+                           "'compiled' is the fused flat-program "
+                           "backend, 'scalar' the big-int reference")
     atpg.add_argument("--workers", type=int, default=1,
                       help="fault-partition processes for fault sim")
     atpg.set_defaults(func=_cmd_atpg)

@@ -23,8 +23,9 @@ from .faults import Fault, collapse_faults, enumerate_faults
 from .faultsim import (
     CombinationalView,
     FaultSimResult,
+    _get_kernel,
     random_pattern_fault_sim,
-    resolve_engine,
+    simulate_single_pattern,
 )
 from .podem import Podem
 
@@ -81,19 +82,6 @@ class AtpgResult:
         return "\n".join(lines)
 
 
-def _grade_pattern_scalar(
-    view: CombinationalView,
-    pattern: dict[str, int],
-    candidates: Sequence[Fault],
-) -> set[Fault]:
-    """Reference single-pattern grading: big-int detect per fault."""
-    good = view.evaluate(pattern, 1)
-    return {
-        fault for fault in candidates
-        if view.detect_mask(fault, good, 1)
-    }
-
-
 def _grade_pattern_compiled(
     view: CombinationalView,
     pattern: dict[str, int],
@@ -103,7 +91,7 @@ def _grade_pattern_compiled(
 
     One width-1 sweep of the (cached) fault program replaces the
     per-fault Python cone walk; detection outcomes are bit-identical
-    to :func:`_grade_pattern_scalar`.
+    to :func:`~repro.dft.faultsim.simulate_single_pattern`.
     """
     from .compiled import compiled_batch_hits
 
@@ -120,22 +108,22 @@ def _deterministic_phase(
     *,
     rng: np.random.Generator,
     backtrack_limit: int = 256,
-    kernel: str = "bigint",
+    engine: str = "compiled",
 ) -> tuple[set[Fault], list[Fault], int]:
     """PODEM phase with cross-fault dropping.
 
     Each PODEM pattern (unassigned inputs filled randomly) is fault-
     simulated against all still-pending faults, so one deterministic
     pattern often pays for several faults -- standard practice.
-    ``kernel`` picks the grading path (``"compiled"`` grades the
-    whole pending set in one fused sweep; anything else uses the
-    scalar reference); the outcome is identical either way.
+    ``engine`` picks the grading path (``"compiled"`` grades the
+    whole pending set in one fused sweep; ``"scalar"`` walks each
+    fault's cone); the outcome is identical either way.
     Returns (detected, proven-untestable, patterns used).
     """
-    engine = Podem(view, backtrack_limit=backtrack_limit)
+    podem = Podem(view, backtrack_limit=backtrack_limit)
     grade = (
-        _grade_pattern_compiled if kernel == "compiled"
-        else _grade_pattern_scalar
+        _grade_pattern_compiled if engine == "compiled"
+        else simulate_single_pattern
     )
     detected: set[Fault] = set()
     untestable: list[Fault] = []
@@ -145,7 +133,7 @@ def _deterministic_phase(
         fault = pending.pop(0)
         if fault in detected:
             continue
-        outcome = engine.generate(fault)
+        outcome = podem.generate(fault)
         if outcome.status == "untestable":
             untestable.append(fault)
             continue
@@ -170,8 +158,7 @@ def run_atpg(
     backtrack_limit: int = 256,
     collapse: bool = True,
     batch_size: int = 64,
-    kernel: str = "words",
-    engine: str | None = None,
+    engine: str = "compiled",
     workers: int = 1,
 ) -> AtpgResult:
     """Full ATPG flow on a (scanned) module.
@@ -181,16 +168,15 @@ def run_atpg(
     combinational view simply treats all flop boundaries as test
     points, which models perfect scan access.
 
-    ``batch_size``, ``kernel``/``engine`` and ``workers`` tune fault
-    simulation (see :func:`repro.dft.random_pattern_fault_sim`).
-    ``engine="compiled"`` also grades PODEM candidate patterns on the
-    fused compiled program instead of the per-fault scalar walk.
-    Engine and worker count never change the result; ``batch_size``
-    selects how many patterns are drawn per batch, so a different
-    width applies a different (equally random) pattern stream.  The
-    defaults match the historical behaviour pattern-for-pattern.
+    ``batch_size``, ``engine`` and ``workers`` tune fault simulation
+    (see :func:`repro.dft.random_pattern_fault_sim`); the engine also
+    grades the PODEM patterns.  Engine (``"compiled"`` or the
+    ``"scalar"`` oracle) and worker count never change the result;
+    ``batch_size`` selects how many patterns are drawn per batch, so
+    a different width applies a different (equally random) pattern
+    stream.
     """
-    kernel = resolve_engine(engine, kernel)
+    _get_kernel(engine)  # validate before any rng draw
     rng = np.random.default_rng(seed)
     view = CombinationalView(module)
     universe = enumerate_faults(module)
@@ -199,13 +185,13 @@ def run_atpg(
 
     random_result: FaultSimResult = random_pattern_fault_sim(
         view, universe, rng=rng, max_patterns=max_random_patterns,
-        batch_size=batch_size, kernel=kernel, workers=workers,
+        batch_size=batch_size, engine=engine, workers=workers,
     )
     undetected = [f for f in universe if f not in random_result.detected]
     with stage_timer("dft.atpg.podem") as stats:
         det_extra, untestable, det_patterns = _deterministic_phase(
             view, undetected, rng=rng, backtrack_limit=backtrack_limit,
-            kernel=kernel,
+            engine=engine,
         )
         stats.add(patterns=det_patterns, faults=len(undetected))
     still_undetected = [

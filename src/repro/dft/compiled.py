@@ -1,12 +1,11 @@
 """Compiled word-parallel fault simulation: fused fault-cone programs.
 
-The PR 1 word kernel (:mod:`repro.dft.faultsim`) already packs 64
-patterns per ``uint64`` word, but it still walks fault sites in
-Python: one :meth:`~repro.dft.faultsim.CombinationalView.detect_words_site`
-call per site per batch, each a fresh chain of numpy dispatches over
-that site's fanout cone.  This module takes the same route the PR 5
-functional backend took -- compile once, sweep flat -- and applies it
-to the *fault universe*:
+The scalar reference (:mod:`repro.dft.faultsim`) walks fault sites in
+Python: one :meth:`~repro.dft.faultsim.CombinationalView.detect_mask`
+call per fault per batch, each a fresh walk over that site's fanout
+cone.  This module takes the same route the compiled functional
+backend took -- compile once, sweep flat -- and applies it to the
+*fault universe*:
 
 * **Good program.**  The combinational network is levelized once
   (:func:`repro.sim.compiled.levelize_combinational` -- the same
@@ -35,11 +34,11 @@ to the *fault universe*:
   enough faults have dropped.  First-detecting-pattern attribution is
   exact -- dropping only ever skips work *after* a fault's first
   detection -- so results are bit-identical to grading the whole
-  batch flat, and therefore to the reference kernels.
+  batch flat, and therefore to the scalar reference.
 
 Programs are cached per view in a :class:`~weakref.WeakKeyDictionary`
-(never pickled; pool workers rebuild their own), and the kernel
-registers as ``engine="compiled"`` on
+(never pickled; pool workers rebuild their own), and the kernel is
+the default ``engine="compiled"`` of
 :func:`repro.dft.faultsim.random_pattern_fault_sim` /
 :func:`repro.dft.atpg.run_atpg`.  Throughput counters report under
 the ``dft.fault_sim.compiled`` perf stage.
@@ -57,7 +56,7 @@ from ..netlist.netlist import Instance
 from ..perf import stage_timer
 from ..sim.compiled import levelize_combinational
 from .faults import Fault
-from .faultsim import CombinationalView, _n_words, _WORD_BITS
+from .faultsim import CombinationalView
 
 __all__ = [
     "FaultProgram",
@@ -67,6 +66,7 @@ __all__ = [
     "grade_batch",
 ]
 
+_WORD_BITS = 64
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 #: Once the active universe shrinks below this fraction of the
@@ -75,10 +75,14 @@ _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _RESELECT_RATIO = 0.5
 
 
+def _n_words(width: int) -> int:
+    return (width + _WORD_BITS - 1) // _WORD_BITS
+
+
 def _first_set_bits(det: np.ndarray) -> np.ndarray:
     """Per row of a ``(faults, words)`` array: index of the lowest set
-    bit, or -1 when the row is all zero.  Vectorized counterpart of
-    :func:`repro.dft.faultsim._first_set_bit`."""
+    bit, or -1 when the row is all zero (a pattern index, since pattern
+    *k* rides bit ``k % 64`` of word ``k // 64``)."""
     nonzero = det != 0
     has_hit = nonzero.any(axis=1)
     word_index = np.argmax(nonzero, axis=1)
@@ -581,7 +585,7 @@ def grade_batch(
 ) -> dict[Fault, int]:
     """Grade one pattern batch: fault -> first detecting pattern index.
 
-    Bit-identical to the reference kernels for the same stimulus; the
+    Bit-identical to the scalar reference for the same stimulus; the
     chunked sweep only reorders *work*, never detection outcomes.
     When ``counters`` is given, fill-efficiency inputs (active vs
     capacity row-words) are accumulated into it.
@@ -726,10 +730,10 @@ def compiled_batch_hits(
     width: int,
     remaining: Sequence[Fault],
 ) -> dict[Fault, int]:
-    """Batch kernel entry point registered as ``engine="compiled"``.
+    """Batch kernel behind ``engine="compiled"``.
 
-    Same signature and same results as
-    :func:`repro.dft.faultsim._batch_first_hits_words`; reports
+    Same signature and same results as the scalar oracle
+    :func:`repro.dft.faultsim._batch_first_hits_bigint`; reports
     throughput counters under ``dft.fault_sim.compiled``.
     """
     with stage_timer("dft.fault_sim.compiled") as stats:

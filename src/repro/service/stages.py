@@ -287,8 +287,7 @@ def _payload_dft(block: BlockSpec,
     patterns = int(config["patterns"])
     result = random_pattern_fault_sim(
         view, faults, rng=np.random.default_rng(int(config["seed"])),
-        max_patterns=patterns, engine="compiled",
-        batch_size=min(patterns, 4096),
+        max_patterns=patterns, batch_size=min(patterns, 4096),
     )
     return {
         "faults": len(faults),

@@ -43,6 +43,12 @@ class TestCommands:
         assert main(["atpg", "--gates", "300", "--patterns", "128"]) == 0
         out = capsys.readouterr().out
         assert "fault coverage" in out
+        # The scalar oracle prints the identical summary.
+        assert main(["atpg", "--gates", "300", "--patterns", "128",
+                     "--engine", "scalar"]) == 0
+        assert capsys.readouterr().out == out
+        with pytest.raises(SystemExit):  # the legacy knob is gone
+            main(["atpg", "--kernel", "bigint"])
 
     def test_mbist(self, capsys):
         assert main(["mbist", "--trials", "20"]) == 0

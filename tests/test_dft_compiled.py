@@ -3,8 +3,7 @@
 The compiled engine's contract mirrors the compiled functional
 backend's: *bit identity*.  For any netlist, dialect of scan
 configuration, batch size and worker count, ``engine="compiled"`` must
-reproduce the words and scalar kernels' :class:`FaultSimResult`
-exactly -- detected set, coverage curve, effective patterns and
+reproduce the scalar oracle's :class:`FaultSimResult` exactly -- detected set, coverage curve, effective patterns and
 first-detecting-pattern attribution -- and :func:`run_atpg` must
 return the same report through either grading path.
 """
@@ -24,12 +23,11 @@ from repro.dft import (
     grade_batch,
     insert_scan,
     random_pattern_fault_sim,
-    resolve_engine,
     run_atpg,
 )
-from repro.dft.faultsim import _batch_first_hits_words
+from repro.dft.faultsim import _batch_first_hits_bigint
 
-ENGINES = ("scalar", "words", "compiled")
+ENGINES = ("scalar", "compiled")
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +81,6 @@ class TestEngineIdentity:
         scanned, _ = insert_scan(module, n_chains=n_chains)
         digests = fault_sim_digests(scanned, seed=seed,
                                     batch_size=batch_size)
-        assert digests["compiled"] == digests["words"]
         assert digests["compiled"] == digests["scalar"]
 
     def test_worker_count_invariance(self, lib):
@@ -107,7 +104,7 @@ class TestEngineIdentity:
         module = pipeline_block("plain", lib, stages=2, width=6,
                                 cloud_gates=30, seed=9)
         digests = fault_sim_digests(module, seed=11)
-        assert digests["compiled"] == digests["words"] == digests["scalar"]
+        assert digests["compiled"] == digests["scalar"]
 
     def test_atpg_identical_across_engines(self, lib):
         module = pipeline_block("atpg", lib, stages=2, width=6,
@@ -118,29 +115,41 @@ class TestEngineIdentity:
                              engine=engine)
             for engine in ENGINES
         }
-        ref = reports["scalar"]
-        for engine in ("words", "compiled"):
-            other = reports[engine]
-            assert other.total_faults == ref.total_faults
-            assert other.detected_random == ref.detected_random
-            assert other.detected_deterministic == ref.detected_deterministic
-            assert other.undetected == ref.undetected
-            assert other.untestable == ref.untestable
-            assert other.patterns_random == ref.patterns_random
-            assert other.patterns_deterministic == ref.patterns_deterministic
-            assert other.coverage_curve == ref.coverage_curve
+        assert_atpg_equal(reports["compiled"], reports["scalar"])
 
     def test_engine_knob_validation(self, lib):
         module = counter_module(lib)
         view = CombinationalView(module)
         faults = enumerate_faults(module)
-        with pytest.raises(ValueError):
+        for engine in ("warp", "words"):
+            rng = np.random.default_rng(0)
+            before = rng.bit_generator.state
+            with pytest.raises(ValueError, match="compiled.*scalar"):
+                random_pattern_fault_sim(
+                    view, faults, rng=rng, max_patterns=8, engine=engine)
+            # Rejected before any rng draw.
+            assert rng.bit_generator.state == before
+            with pytest.raises(ValueError, match="compiled.*scalar"):
+                run_atpg(module, engine=engine)
+        # The legacy ``kernel`` spelling is gone, not silently ignored.
+        with pytest.raises(TypeError):
             random_pattern_fault_sim(
                 view, faults, rng=np.random.default_rng(0),
-                max_patterns=8, engine="warp")
-        assert resolve_engine(None, "words") == "words"
-        assert resolve_engine("compiled", "words") == "compiled"
-        assert resolve_engine("scalar", "words") == "bigint"
+                max_patterns=8, kernel="bigint")
+        with pytest.raises(TypeError):
+            run_atpg(module, kernel="bigint")
+
+
+def assert_atpg_equal(other, ref):
+    """Every field an :class:`AtpgResult` carries, compared exactly."""
+    assert other.total_faults == ref.total_faults
+    assert other.detected_random == ref.detected_random
+    assert other.detected_deterministic == ref.detected_deterministic
+    assert other.undetected == ref.undetected
+    assert other.untestable == ref.untestable
+    assert other.patterns_random == ref.patterns_random
+    assert other.patterns_deterministic == ref.patterns_deterministic
+    assert other.coverage_curve == ref.coverage_curve
 
 
 def counter_module(lib):
@@ -172,7 +181,7 @@ class TestTrickyFaultSites:
         module.add_instance("u2", "INV_X1", {"A": "mid", "Y": "z"})
         digests = fault_sim_digests(module, seed=1, batch_size=16,
                                     max_patterns=64)
-        assert digests["compiled"] == digests["words"] == digests["scalar"]
+        assert digests["compiled"] == digests["scalar"]
 
     def test_spare_cell_feed_faults(self, lib):
         """Spare outputs evaluate as constant-undriven; cones through
@@ -185,7 +194,7 @@ class TestTrickyFaultSites:
                             {"A": "sp_y", "B": "a", "Y": "y"})
         digests = fault_sim_digests(module, seed=3, batch_size=16,
                                     max_patterns=64)
-        assert digests["compiled"] == digests["words"] == digests["scalar"]
+        assert digests["compiled"] == digests["scalar"]
 
     def test_tie_cell_faults(self, lib):
         module = Module("tie", lib)
@@ -199,7 +208,7 @@ class TestTrickyFaultSites:
                             {"A": "m", "B": "lo", "Y": "y"})
         digests = fault_sim_digests(module, seed=4, batch_size=16,
                                     max_patterns=64)
-        assert digests["compiled"] == digests["words"] == digests["scalar"]
+        assert digests["compiled"] == digests["scalar"]
 
     def test_icg_enable_faults(self, lib):
         """ICG cells are combinational AND gates to the fault model;
@@ -221,7 +230,7 @@ class TestTrickyFaultSites:
         assert any(f.instance == "g0" for f in faults)
         digests = fault_sim_digests(module, seed=5, batch_size=16,
                                     max_patterns=64)
-        assert digests["compiled"] == digests["words"] == digests["scalar"]
+        assert digests["compiled"] == digests["scalar"]
 
     def test_scan_enable_path_faults(self, lib):
         """Scan-muxed design: scan_en and scan_in are control/chain
@@ -234,7 +243,7 @@ class TestTrickyFaultSites:
         assert "scan_en" not in view.pseudo_inputs
         digests = fault_sim_digests(scanned, seed=6, batch_size=32,
                                     max_patterns=128)
-        assert digests["compiled"] == digests["words"] == digests["scalar"]
+        assert digests["compiled"] == digests["scalar"]
 
 
 class TestCompiledKernelUnit:
@@ -260,7 +269,7 @@ class TestCompiledKernelUnit:
         clear_fault_program_cache()
         assert compile_fault_program(view, faults) is not program
 
-    def test_grade_batch_matches_words_kernel(self, lib):
+    def test_grade_batch_matches_bigint_kernel(self, lib):
         module = pipeline_block("grade", lib, stages=2, width=6,
                                 cloud_gates=25, seed=12)
         scanned, _ = insert_scan(module, n_chains=2)
@@ -272,7 +281,7 @@ class TestCompiledKernelUnit:
         for width in (1, 63, 64, 65, 200):
             bits = view.random_pattern_bits(rng, width)
             hits = grade_batch(program, bits, width, remaining)
-            assert hits == _batch_first_hits_words(
+            assert hits == _batch_first_hits_bigint(
                 view, bits, width, remaining)
             remaining = [f for f in remaining if f not in hits]
 
@@ -283,4 +292,35 @@ class TestCompiledKernelUnit:
         program = compile_fault_program(view, [fault])
         bits = view.random_pattern_bits(np.random.default_rng(0), 8)
         hits = grade_batch(program, bits, 8, [fault])
-        assert hits == _batch_first_hits_words(view, bits, 8, [fault])
+        assert hits == _batch_first_hits_bigint(view, bits, 8, [fault])
+
+
+class TestFlowEquivalence:
+    """The lifecycle's ``insert_dft`` runs the production engine by
+    default; the scalar oracle must reproduce its ATPG result on the
+    very block and arguments the flow used."""
+
+    def test_insert_dft_matches_scalar_oracle(self, monkeypatch):
+        import repro.core.flow as flow_module
+
+        flow = flow_module.DesignServiceFlow(scale=0.01, seed=1000)
+        # The representative block only needs the assembled blocks.
+        for stage in ("intake", "harden_cpu", "assemble"):
+            flow.run_stage(stage)
+
+        calls = []
+        production = flow_module.run_atpg
+
+        def recording_run_atpg(*args, **kwargs):
+            calls.append((args, kwargs))
+            return production(*args, **kwargs)
+
+        monkeypatch.setattr(flow_module, "run_atpg", recording_run_atpg)
+        atpg, _plan = flow.run_stage("insert_dft")
+        assert len(calls) == 1
+        args, kwargs = calls[0]
+        assert "engine" not in kwargs  # the flow runs the default
+
+        oracle = run_atpg(*args, **{**kwargs, "engine": "scalar"})
+        assert_atpg_equal(atpg, oracle)
+        assert flow.report.fault_coverage == oracle.coverage
