@@ -444,7 +444,9 @@ def bench_bmc(quick: bool) -> dict:
     Derives properties on every block under the gate cap and checks
     them to a fixed depth with the CDCL engine, serial vs per-property
     process fan-out, asserting the canonical report JSON is
-    byte-identical -- the determinism contract of the checker.
+    byte-identical -- the determinism contract of the checker.  The
+    search fixes the total CDCL ``propagations``, so the serial
+    ``propagations_per_s`` compares solver speed from run to run.
     """
     from repro.formal import check_properties, derive_properties
     from repro.lint import dsc_lint_targets
@@ -460,8 +462,10 @@ def bench_bmc(quick: bool) -> dict:
     props = sum(len(derive_properties(m)) for m in blocks)
     out = {"design": "dsc", "scale": scale, "depth": depth,
            "blocks": len(blocks), "properties": props}
+    cdcl = REGISTRY.stage("formal.cdcl").counters
     reports = {}
     for label, workers in [("serial", 1), ("fanout", None)]:
+        before = cdcl.get("propagations", 0)
         start = time.perf_counter()
         texts = []
         for module in blocks:
@@ -474,7 +478,10 @@ def bench_bmc(quick: bool) -> dict:
         reports[label] = texts
         out[label] = {"props_per_s": props / elapsed,
                       "seconds": elapsed}
+        out["propagations"] = int(cdcl["propagations"] - before)
     assert reports["serial"] == reports["fanout"]
+    out["serial"]["propagations_per_s"] = (out["propagations"]
+                                           / out["serial"]["seconds"])
     out["speedup"] = (out["fanout"]["props_per_s"]
                       / out["serial"]["props_per_s"])
     return out

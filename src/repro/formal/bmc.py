@@ -51,7 +51,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ..netlist import Logic, Module
 from ..netlist.netlist import NetlistError
-from ..perf import fanout
+from ..perf import REGISTRY, fanout
 from ..sim import VENDOR_A_SIM, VENDOR_B_SIM, LogicSimulator
 from ..sim.compiled import BatchSimulator, CompiledProgram, compile_module
 from ..sim.simulator import SimulatorConfig
@@ -950,6 +950,10 @@ def check_properties(
     A counterexample's stimulus replays on both simulator dialects via
     :func:`replay_counterexample`.  When every assume together is
     unsatisfiable, proven asserts are flagged *vacuous*.
+
+    With ``engine="cdcl"`` the checks' conflicts, decisions and
+    propagations are added to the ``formal.cdcl`` counters of
+    :data:`repro.perf.REGISTRY` in the calling process.
     """
     if depth < 1:
         raise BmcError("depth must be >= 1")
@@ -982,6 +986,13 @@ def check_properties(
     checks = list(fanout(
         worker, tasks, workers=workers, stage="formal.bmc"
     ))
+    if engine == "cdcl":
+        # Counted here, after the merge, so solves that ran in pool
+        # workers count too and the totals do not depend on workers.
+        REGISTRY.count("formal.cdcl", **{
+            key: sum(dict(check.solver_stats)[key] for check in checks)
+            for key in ("conflicts", "decisions", "propagations")
+        })
 
     if engine == "cdcl" and assumes and any(
         c.status in ("proven", "unreachable") for c in checks

@@ -22,19 +22,39 @@ Literals use the DIMACS convention: variable ``v`` is the positive
 literal ``v`` and its negation ``-v``; variables are 1-based and
 allocated through :meth:`Solver.new_var`.
 
-Determinism contract: :meth:`Solver.solve` never consults the clock,
-the process id, or any global randomness.  Statistics (decisions,
-conflicts, propagations) are therefore themselves reproducible and may
-be embedded in canonical JSON reports.
+Storage layout: what unit propagation touches is indexed by the
+literal itself.  The value and watch lists have length
+``2 * capacity + 1`` and keep ``v`` at index ``v`` and ``-v`` at index
+``-v`` -- Python's negative indexing, slot ``len - v`` -- so
+``value[lit]`` and ``watches[lit]`` need neither ``abs`` nor a dict.
+:meth:`Solver.new_var` doubles the capacity when it runs out and moves
+the negative half to the new tail.  Per-variable data (level, reason,
+polarity, activity, the analysis ``seen`` marks) lives in lists
+indexed by variable.  Propagation compacts each watch list in place
+(MiniSat's ``i``/``j`` loop), and the VSIDS heap holds at most one
+live entry per variable.
+
+Same-search contract: the layout is not observable.  Watch order, the
+decision pick (highest activity + jitter among unassigned variables,
+lowest index on ties), conflict analysis and the restart schedule are
+fixed, so decisions, conflicts, propagations, models and cores are a
+pure function of (clauses in order, seed, assumptions);
+``tests/test_cdcl_golden.py`` pins them.  :meth:`Solver.solve` never
+consults the clock, the process id, or any global randomness, so the
+statistics may be embedded in canonical JSON reports.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 __all__ = ["SatError", "Solver", "SolverStats", "luby"]
+
+#: Capacity (variables) of the literal-indexed lists of a new solver.
+_INITIAL_CAPACITY = 64
 
 
 class SatError(Exception):
@@ -84,42 +104,6 @@ class SolverStats:
         }
 
 
-@dataclass
-class _VarOrder:
-    """VSIDS order: activity-sorted heap with seeded tie-breaking."""
-
-    seed: int
-    activity: list[float] = field(default_factory=lambda: [0.0])
-    jitter: list[float] = field(default_factory=lambda: [0.0])
-    heap: list[tuple[float, int]] = field(default_factory=list)
-
-    def new_var(self, var: int) -> None:
-        # Tiny per-(seed, var) jitter so exact activity ties still have
-        # a fixed, seed-controlled resolution order.
-        noise = zlib.crc32(f"{self.seed}:{var}".encode()) / 2**32
-        self.activity.append(0.0)
-        self.jitter.append(noise * 1e-12)
-        self.push(var)
-
-    def push(self, var: int) -> None:
-        import heapq
-
-        heapq.heappush(
-            self.heap, (-(self.activity[var] + self.jitter[var]), var)
-        )
-
-    def pop_unassigned(self, assign: list[int]) -> int:
-        """Highest-activity unassigned variable (0 when none left)."""
-        import heapq
-
-        while self.heap:
-            key, var = heapq.heappop(self.heap)
-            if assign[var] == 0 and \
-                    key == -(self.activity[var] + self.jitter[var]):
-                return var
-        return 0
-
-
 class Solver:
     """Deterministic CDCL solver over DIMACS-style integer literals.
 
@@ -143,16 +127,29 @@ class Solver:
         #: After UNSAT-under-assumptions: the failed assumption subset.
         self.core: tuple[int, ...] = ()
         self._clauses: list[list[int]] = []
-        self._watches: dict[int, list[list[int]]] = {}
-        self._assign: list[int] = [0]  # 1 true, -1 false, 0 free
+        # Literal-indexed (see the module docstring): 1 true, -1 false,
+        # 0 free, and the clauses watching each literal.
+        self._capacity = _INITIAL_CAPACITY
+        size = 2 * _INITIAL_CAPACITY + 1
+        self._value: list[int] = [0] * size
+        self._watches: list[list[list[int]]] = [[] for _ in range(size)]
+        # Variable-indexed; slot 0 is unused.
         self._level: list[int] = [0]
         self._reason: list[list[int] | None] = [None]
         self._polarity: list[bool] = [False]
+        self._seen: list[bool] = [False]
+        # VSIDS: heap of (-(activity + jitter), var); ``_in_heap[v]``
+        # says whether v has an entry carrying its current key.
+        self._activity: list[float] = [0.0]
+        self._jitter: list[float] = [0.0]
+        #: crc32 of ``f"{seed}:"``, continued with each variable number.
+        self._jitter_crc = zlib.crc32(f"{seed}:".encode())
+        self._in_heap: list[bool] = [False]
+        self._heap: list[tuple[float, int]] = []
+        self._var_inc = 1.0
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
-        self._order = _VarOrder(seed)
-        self._var_inc = 1.0
         self._unsat = False  # empty clause / level-0 conflict seen
 
     # -- problem construction -----------------------------------------
@@ -161,89 +158,101 @@ class Solver:
         """Allocate and return a fresh variable (positive literal)."""
         self.n_vars += 1
         var = self.n_vars
-        self._assign.append(0)
+        if var > self._capacity:
+            self._grow()
         self._level.append(0)
         self._reason.append(None)
         self._polarity.append(False)
-        self._watches[var] = []
-        self._watches[-var] = []
-        self._order.new_var(var)
+        self._seen.append(False)
+        # Tiny per-(seed, var) jitter so exact activity ties still have
+        # a fixed, seed-controlled resolution order.
+        noise = zlib.crc32(b"%d" % var, self._jitter_crc) / 2**32
+        self._activity.append(0.0)
+        self._jitter.append(noise * 1e-12)
+        self._in_heap.append(True)
+        heappush(self._heap, (-(noise * 1e-12), var))
         return var
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add one clause; duplicates collapse, tautologies vanish.
 
-        Must be called at decision level 0 (before or between solves).
+        Clauses are added at decision level 0: after a satisfiable
+        :meth:`solve` the solver first backtracks there, so the model
+        is gone (:meth:`value` raises for every literal not fixed at
+        level 0) until the next solve.
         """
         if self._trail_lim:
-            raise SatError("clauses must be added at decision level 0")
-        seen: dict[int, bool] = {}
+            self._backtrack(0)
+        seen: set[int] = set()
         clause: list[int] = []
+        n_vars = self.n_vars
         for lit in lits:
-            var = abs(lit)
-            if not 0 < var <= self.n_vars:
+            if not 0 < abs(lit) <= n_vars:
                 raise SatError(f"unknown literal {lit}")
             if -lit in seen:
                 return  # tautology
             if lit not in seen:
-                seen[lit] = True
+                seen.add(lit)
                 clause.append(lit)
         # Drop literals already false at level 0; satisfied clauses
         # vanish entirely.
+        value = self._value
         filtered: list[int] = []
         for lit in clause:
-            value = self._lit_value(lit)
-            if value == 1 and self._level[abs(lit)] == 0:
+            current = value[lit]
+            if current == 1:
                 return
-            if value == -1 and self._level[abs(lit)] == 0:
-                continue
-            filtered.append(lit)
-        if not filtered:
+            if current == 0:
+                filtered.append(lit)
+        if len(filtered) > 1:
+            self._attach(filtered)
+        elif not filtered:
             self._unsat = True
-            return
-        if len(filtered) == 1:
-            if not self._enqueue(filtered[0], None):
-                self._unsat = True
-            elif self._propagate() is not None:
-                self._unsat = True
-            return
-        self._attach(filtered)
+        elif not self._enqueue(filtered[0], None) or \
+                self._propagate() is not None:
+            self._unsat = True
+
+    def _attach(self, clause: list[int]) -> None:
+        """Store a clause of two or more literals, watching 0 and 1."""
+        self._clauses.append(clause)
+        self._watches[clause[0]].append(clause)
+        self._watches[clause[1]].append(clause)
 
     # -- observation ---------------------------------------------------
 
     def value(self, lit: int) -> bool:
         """Model value of ``lit`` after a satisfiable solve."""
-        value = self._lit_value(lit)
+        if not 0 < abs(lit) <= self.n_vars:
+            raise SatError(f"unknown literal {lit}")
+        value = self._value[lit]
         if value == 0:
             raise SatError(f"literal {lit} unassigned (no model?)")
         return value == 1
 
     def model(self) -> dict[int, bool]:
         """The full model as ``{var: bool}`` after a SAT solve."""
-        return {
-            var: self._assign[var] == 1
-            for var in range(1, self.n_vars + 1)
-        }
+        value = self._value
+        return {var: value[var] == 1 for var in range(1, self.n_vars + 1)}
 
     # -- internals -----------------------------------------------------
 
-    def _lit_value(self, lit: int) -> int:
-        value = self._assign[abs(lit)]
-        return value if lit > 0 else -value
-
-    def _attach(self, clause: list[int]) -> None:
-        self._clauses.append(clause)
-        self._watches[clause[0]].append(clause)
-        self._watches[clause[1]].append(clause)
+    def _grow(self) -> None:
+        """Double the capacity of the literal-indexed lists."""
+        old = self._capacity
+        self._capacity = 2 * old
+        # ``old`` new slots for v = old+1 .. 2*old, then ``old`` for
+        # their negations, between the positive and the negative half.
+        self._value[old + 1:old + 1] = [0] * (2 * old)
+        self._watches[old + 1:old + 1] = [[] for _ in range(2 * old)]
 
     def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
-        value = self._lit_value(lit)
-        if value == -1:
-            return False
-        if value == 1:
-            return True
-        var = abs(lit)
-        self._assign[var] = 1 if lit > 0 else -1
+        value = self._value
+        current = value[lit]
+        if current:
+            return current == 1
+        value[lit] = 1
+        value[-lit] = -1
+        var = lit if lit > 0 else -lit
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._polarity[var] = lit > 0
@@ -252,60 +261,95 @@ class Solver:
 
     def _propagate(self) -> list[int] | None:
         """Exhaust unit propagation; returns a conflicting clause."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats.propagations += 1
-            watch_list = self._watches[-lit]
-            kept: list[list[int]] = []
-            conflict: list[int] | None = None
-            for index, clause in enumerate(watch_list):
+        trail = self._trail
+        value = self._value
+        watches = self._watches
+        level = self._level
+        reason = self._reason
+        polarity = self._polarity
+        decision_level = len(self._trail_lim)
+        qhead = start = self._qhead
+        conflict: list[int] | None = None
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watch_list = watches[false_lit]
+            # In-place compaction: kept clauses move down to slot j;
+            # ``moved`` counts clauses that left for another watch.
+            j = moved = 0
+            for clause in watch_list:
                 # Normalise: the falsified watch sits at position 1.
-                if clause[0] == -lit:
-                    clause[0], clause[1] = clause[1], clause[0]
-                if self._lit_value(clause[0]) == 1:
-                    kept.append(clause)  # already satisfied
+                first = clause[0]
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                first_value = value[first]
+                if first_value == 1:
+                    watch_list[j] = clause  # already satisfied
+                    j += 1
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[clause[1]].append(clause)
-                        moved = True
+                    other = clause[k]
+                    if value[other] != -1:
+                        clause[1] = other
+                        clause[k] = false_lit
+                        watches[other].append(clause)
+                        moved += 1
                         break
-                if moved:
-                    continue
-                kept.append(clause)
-                if not self._enqueue(clause[0], clause):
-                    conflict = clause
-                    kept.extend(watch_list[index + 1:])
-                    break
-            self._watches[-lit] = kept
+                else:
+                    watch_list[j] = clause
+                    j += 1
+                    if first_value == -1:
+                        conflict = clause
+                        break
+                    value[first] = 1
+                    value[-first] = -1
+                    var = first if first > 0 else -first
+                    level[var] = decision_level
+                    reason[var] = clause
+                    polarity[var] = first > 0
+                    trail.append(first)
             if conflict is not None:
-                return conflict
-        return None
+                # Slots j .. j+moved-1 are the gaps left so far; the
+                # clauses after the conflict stay where they are.
+                del watch_list[j:j + moved]
+                break
+            del watch_list[j:]
+        self.stats.propagations += qhead - start
+        self._qhead = qhead
+        return conflict
 
-    def _bump(self, var: int) -> None:
-        self._order.activity[var] += self._var_inc
-        if self._order.activity[var] > 1e100:
-            for v in range(1, self.n_vars + 1):
-                self._order.activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-            # Heap keys are stale after a rescale; rebuild.
-            self._order.heap = []
-            for v in range(1, self.n_vars + 1):
-                if self._assign[v] == 0:
-                    self._order.push(v)
-            return
-        self._order.push(var)
+    def _rescale(self) -> None:
+        """Scale activities down by 1e100 and rebuild the heap."""
+        activity = self._activity
+        jitter = self._jitter
+        value = self._value
+        in_heap = self._in_heap
+        for v in range(1, self.n_vars + 1):
+            activity[v] *= 1e-100
+        self._var_inc *= 1e-100
+        heap = self._heap
+        heap.clear()
+        for v in range(1, self.n_vars + 1):
+            free = value[v] == 0
+            in_heap[v] = free
+            if free:
+                heap.append((-(activity[v] + jitter[v]), v))
+        heapify(heap)
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """1UIP learned clause + backjump level for ``conflict``."""
+        seen = self._seen
+        level = self._level
+        trail = self._trail
+        reasons = self._reason
+        activity = self._activity
+        in_heap = self._in_heap
         learned: list[int] = [0]  # slot 0 holds the asserting literal
-        seen = [False] * (self.n_vars + 1)
         counter = 0
         lit = 0
-        index = len(self._trail) - 1
+        index = len(trail) - 1
         reason: list[int] | None = conflict
         current_level = len(self._trail_lim)
         while True:
@@ -313,48 +357,84 @@ class Solver:
             for q in reason:
                 if q == lit:
                     continue
-                var = abs(q)
-                if not seen[var] and self._level[var] > 0:
+                var = q if q > 0 else -q
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
-                    self._bump(var)
-                    if self._level[var] >= current_level:
+                    # VSIDS bump; the variable is assigned, so its old
+                    # heap entry is stale and backtracking re-pushes it.
+                    activity[var] += self._var_inc
+                    in_heap[var] = False
+                    if activity[var] > 1e100:
+                        self._rescale()
+                    if level[var] >= current_level:
                         counter += 1
                     else:
                         learned.append(q)
-            while not seen[abs(self._trail[index])]:
+            lit = trail[index]
+            while not seen[lit if lit > 0 else -lit]:
                 index -= 1
-            lit = self._trail[index]
-            seen[abs(lit)] = False
+                lit = trail[index]
+            var = lit if lit > 0 else -lit
+            seen[var] = False
             counter -= 1
             index -= 1
             if counter == 0:
                 break
-            reason = self._reason[abs(lit)]
+            reason = reasons[var]
         learned[0] = -lit
+        for q in learned:
+            seen[q if q > 0 else -q] = False
         if len(learned) == 1:
             return learned, 0
         # Backjump to the second-highest level in the clause; move that
         # literal into watch position 1.
         max_pos = 1
         for k in range(2, len(learned)):
-            if self._level[abs(learned[k])] > \
-                    self._level[abs(learned[max_pos])]:
+            if level[abs(learned[k])] > level[abs(learned[max_pos])]:
                 max_pos = k
         learned[1], learned[max_pos] = learned[max_pos], learned[1]
-        return learned, self._level[abs(learned[1])]
+        return learned, level[abs(learned[1])]
 
     def _backtrack(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        bound = self._trail_lim[level]
-        for lit in reversed(self._trail[bound:]):
-            var = abs(lit)
-            self._assign[var] = 0
-            self._reason[var] = None
-            self._order.push(var)
-        del self._trail[bound:]
-        del self._trail_lim[level:]
-        self._qhead = min(self._qhead, len(self._trail))
+        bound = trail_lim[level]
+        value = self._value
+        in_heap = self._in_heap
+        activity = self._activity
+        jitter = self._jitter
+        heap = self._heap
+        trail = self._trail
+        # Reasons of unassigned variables are never read again, so they
+        # are left in place.
+        for lit in trail[bound:]:
+            value[lit] = 0
+            value[-lit] = 0
+            var = lit if lit > 0 else -lit
+            if not in_heap[var]:
+                in_heap[var] = True
+                heappush(heap, (-(activity[var] + jitter[var]), var))
+        del trail[bound:]
+        del trail_lim[level:]
+        if self._qhead > bound:
+            self._qhead = bound
+
+    def _pick_branch_var(self) -> int:
+        """Highest activity + jitter unassigned variable (0 if none)."""
+        heap = self._heap
+        value = self._value
+        activity = self._activity
+        jitter = self._jitter
+        in_heap = self._in_heap
+        while heap:
+            key, var = heappop(heap)
+            if key != -(activity[var] + jitter[var]):
+                continue  # stale: the variable was bumped since
+            in_heap[var] = False
+            if value[var] == 0:
+                return var
+        return 0
 
     def _analyze_final(self, lit: int) -> tuple[int, ...]:
         """Assumptions implicated in the failure of assumption ``lit``.
@@ -402,23 +482,28 @@ class Solver:
             if not 0 < abs(lit) <= self.n_vars:
                 raise SatError(f"unknown assumption literal {lit}")
 
+        stats = self.stats
+        trail_lim = self._trail_lim
+        trail = self._trail
+        value = self._value
+        polarity = self._polarity
+        n_assumptions = len(assumptions)
         conflict_budget = 0
         restart_index = 0
         restart_base = 64
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                self.stats.conflicts += 1
+                stats.conflicts += 1
                 conflict_budget -= 1
-                if not self._trail_lim:
+                if not trail_lim:
                     self._unsat = True
                     return False
                 learned, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
-                self.stats.learned += 1
-                self.stats.max_learned_length = max(
-                    self.stats.max_learned_length, len(learned)
-                )
+                stats.learned += 1
+                if len(learned) > stats.max_learned_length:
+                    stats.max_learned_length = len(learned)
                 if len(learned) == 1:
                     if not self._enqueue(learned[0], None) or \
                             self._propagate() is not None:
@@ -429,30 +514,28 @@ class Solver:
                     self._enqueue(learned[0], learned)
                 self._var_inc /= 0.95
                 continue
-            if conflict_budget <= 0 and \
-                    len(self._trail_lim) > len(assumptions):
+            if conflict_budget <= 0 and len(trail_lim) > n_assumptions:
                 restart_index += 1
-                self.stats.restarts += 1
+                stats.restarts += 1
                 conflict_budget = restart_base * luby(restart_index)
                 self._backtrack(0)
                 continue
-            if len(self._trail_lim) < len(assumptions):
+            if len(trail_lim) < n_assumptions:
                 # Assumptions occupy the first decision levels, in
                 # order; a false one refutes the assumption set.
-                lit = assumptions[len(self._trail_lim)]
-                value = self._lit_value(lit)
-                if value == -1:
+                lit = assumptions[len(trail_lim)]
+                current = value[lit]
+                if current == -1:
                     self.core = self._analyze_final(lit)
                     self._backtrack(0)
                     return False
-                self._trail_lim.append(len(self._trail))
-                if value == 0:
+                trail_lim.append(len(trail))
+                if current == 0:
                     self._enqueue(lit, None)
                 continue
-            var = self._order.pop_unassigned(self._assign)
+            var = self._pick_branch_var()
             if var == 0:
                 return True
-            self.stats.decisions += 1
-            self._trail_lim.append(len(self._trail))
-            lit = var if self._polarity[var] else -var
-            self._enqueue(lit, None)
+            stats.decisions += 1
+            trail_lim.append(len(trail))
+            self._enqueue(var if polarity[var] else -var, None)

@@ -156,6 +156,14 @@ class TestCommands:
         assert data["bus"]["exclusive"] is True
         assert data["reports"]
 
+    def test_bmc_perf_reports_cdcl_counters(self, capsys):
+        assert main(["--perf", "bmc", "--scale", "0.002", "--depth", "4",
+                     "--max-gates", "120"]) == 0
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines()
+                   if line.split()[:1] == ["formal.cdcl"])
+        assert "propagations=" in row and "conflicts=" in row
+
     def test_lint_rule_selection(self, capsys):
         assert main(["lint", "--scale", "0.005",
                      "--rules", "structural,socmap"]) == 0

@@ -18,6 +18,7 @@ from repro.formal import (
     Counterexample,
     NetIs,
     Property,
+    SatError,
     Solver,
     Unroller,
     check_bus_exclusivity,
@@ -138,6 +139,24 @@ class TestCdclSolver:
         assert set(solver.core) <= {x3, -x2}
         # The solver is reusable after an assumption failure.
         assert solver.solve([x3]) is True
+
+    def test_add_clause_after_sat_solve(self):
+        solver = Solver()
+        a, b, c = (solver.new_var() for _ in range(3))
+        solver.add_clause([a, b])
+        assert solver.solve() is True
+        assert solver.value(a) or solver.value(b)
+        solver.value(c)  # free, but decided in the model
+        # Adding a clause drops the model (back to level 0) instead of
+        # refusing; the next solve sees the new clause.
+        solver.add_clause([-a])
+        with pytest.raises(SatError):
+            solver.value(c)
+        assert solver.solve() is True
+        assert solver.value(a) is False
+        assert solver.value(b) is True
+        solver.add_clause([-b])
+        assert solver.solve() is False
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +332,28 @@ class TestCheckProperties:
             for workers in (1, 2, 4)
         }
         assert len(texts) == 1
+
+    def test_cdcl_counters_reach_registry_for_any_workers(self, lib):
+        from repro.perf import REGISTRY
+
+        module = one_hot_ring("ring", lib, width=4, inject_bug=True)
+        props = derive_properties(module)
+        keys = ("conflicts", "decisions", "propagations")
+        totals = []
+        for workers in (1, 2):
+            before = dict(REGISTRY.stage("formal.cdcl").counters)
+            report = check_properties(
+                module, props, depth=6, workers=workers, seed=3
+            )
+            after = REGISTRY.stage("formal.cdcl").counters
+            delta = {k: after[k] - before.get(k, 0) for k in keys}
+            assert delta == {
+                k: sum(dict(c.solver_stats)[k] for c in report.checks)
+                for k in keys
+            }
+            totals.append(delta)
+        assert totals[0] == totals[1]
+        assert totals[0]["propagations"] > 0
 
     def test_lanes_engine_agrees_with_cdcl(self, lib):
         for inject_bug in (False, True):
